@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability shard outofcore linkcheck noasm dataset
+.PHONY: check vet build test race fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability fuzz-http shard outofcore linkcheck noasm dataset
 
 check: vet build race
 
@@ -28,6 +28,14 @@ fmt:
 durability:
 	$(GO) test ./internal/durable ./internal/core -run 'Crash|Durable|WAL|Checkpoint|Atomic' -v -count=1
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
+
+# Request-decoding fuzz pass (see docs/api.md): the reflection-free
+# /query and /batch decoder checked against encoding/json, and the body +
+# URL-parameter plan pipeline checked never to panic or accept an invalid
+# plan.
+fuzz-http:
+	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s
+	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzDecodePlanRequest -fuzztime 30s
 
 # Quality-regression gate (see docs/testing.md): runs the full matrix —
 # lattice × probe mode × partitioner × index lifecycle — against the

@@ -6,19 +6,47 @@
 //     meaningful 4xx/5xx status, never a bare 500 with a text body;
 //   - a known path with the wrong method answers 405 with an Allow
 //     header instead of falling through to 404;
-//   - request bodies are size-capped and reject unknown fields, so a
-//     typo'd parameter is a 400, not a silent no-op.
+//   - request bodies are size-capped and reject unknown fields and
+//     trailing data, so a typo'd parameter is a 400, not a silent no-op;
+//   - servers bound the time a client may take over its headers and the
+//     time a keep-alive connection may sit idle.
 //
 // docs/api.md documents the conventions as seen from the wire.
 package httpx
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 )
+
+// Connection timeouts of both tiers' HTTP servers (NewServer). There is
+// deliberately no read or write timeout: a large /batch body or a slow
+// query must not be cut off, only a client that never finishes its
+// headers or parks an idle keep-alive connection.
+const (
+	// ReadHeaderTimeout bounds how long a client may take to send the
+	// request line and headers.
+	ReadHeaderTimeout = 10 * time.Second
+	// IdleTimeout bounds how long a keep-alive connection may sit idle
+	// between requests.
+	IdleTimeout = 2 * time.Minute
+)
+
+// NewServer returns the http.Server both tiers serve h with, carrying
+// the ReadHeaderTimeout and IdleTimeout above.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
 
 // MethodDispatch routes by HTTP method and answers anything else with 405
 // plus an Allow header — the contract HTTP clients and load balancers
@@ -55,11 +83,29 @@ func (sr *StatusRecorder) WriteHeader(code int) {
 }
 
 // DecodeBody parses a JSON body with a size cap, rejecting unknown
-// fields; it writes the 400 response itself and reports success.
+// fields and anything but whitespace after the value; it writes the 400
+// response itself and reports success.
 func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, dst interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	return decodeStrict(w, http.MaxBytesReader(w, r.Body, maxBytes), dst)
+}
+
+// errTrailingData reports a body that continues past its JSON value.
+var errTrailingData = errors.New("trailing data after the JSON value")
+
+func decodeStrict(w http.ResponseWriter, body io.Reader, dst interface{}) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		Error(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		// A token or a syntax error means more JSON text; any other error
+		// (the size cap) is reported as itself.
+		var syn *json.SyntaxError
+		if err == nil || errors.As(err, &syn) {
+			err = errTrailingData
+		}
 		Error(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return false
 	}

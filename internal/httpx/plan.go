@@ -99,7 +99,7 @@ func (p *QueryPlan) ApplyQueryParams(q url.Values) error {
 // wire contract.
 func (p QueryPlan) Validate() error {
 	switch {
-	case p.TargetRecall < 0 || p.TargetRecall >= 1:
+	case !(p.TargetRecall >= 0 && p.TargetRecall < 1): // NaN too
 		return fmt.Errorf("recall %g outside [0, 1)", p.TargetRecall)
 	case p.Probes < 0 || p.Probes > PlanLimit:
 		return fmt.Errorf("probes %d out of range [0, %d]", p.Probes, PlanLimit)

@@ -2,46 +2,50 @@ package httpx
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
 )
 
+// applyQueryParamsCases is TestApplyQueryParams' table; the fuzz targets
+// seed their corpora from it.
+var applyQueryParamsCases = []struct {
+	name    string
+	body    QueryPlan // as if decoded from the JSON body
+	query   string
+	want    QueryPlan
+	wantErr string
+}{
+	{name: "empty", query: "", want: QueryPlan{}},
+	{
+		name:  "all params",
+		query: "recall=0.9&probes=8&tables=4&hier_min=20&rerank=6&stable_probes=16&max_candidates=1000",
+		want: QueryPlan{
+			TargetRecall: 0.9, Probes: 8, Tables: 4, HierMinCandidates: 20,
+			RerankFactor: 6, StableProbes: 16, MaxCandidates: 1000,
+		},
+	},
+	{
+		name:  "url overrides body",
+		body:  QueryPlan{TargetRecall: 0.5, Probes: 2, Tables: 9},
+		query: "recall=0.9&probes=8",
+		want:  QueryPlan{TargetRecall: 0.9, Probes: 8, Tables: 9},
+	},
+	{
+		name:  "unrecognized params ignored",
+		query: "stats=1&spill=3&k=5",
+		want:  QueryPlan{},
+	},
+	{name: "garbage recall", query: "recall=high", wantErr: "recall"},
+	{name: "garbage probes", query: "probes=many", wantErr: "probes"},
+	{name: "float tables", query: "tables=1.5", wantErr: "tables"},
+	{name: "garbage stable_probes", query: "stable_probes=x", wantErr: "stable_probes"},
+}
+
 func TestApplyQueryParams(t *testing.T) {
-	cases := []struct {
-		name    string
-		body    QueryPlan // as if decoded from the JSON body
-		query   string
-		want    QueryPlan
-		wantErr string
-	}{
-		{name: "empty", query: "", want: QueryPlan{}},
-		{
-			name:  "all params",
-			query: "recall=0.9&probes=8&tables=4&hier_min=20&rerank=6&stable_probes=16&max_candidates=1000",
-			want: QueryPlan{
-				TargetRecall: 0.9, Probes: 8, Tables: 4, HierMinCandidates: 20,
-				RerankFactor: 6, StableProbes: 16, MaxCandidates: 1000,
-			},
-		},
-		{
-			name:  "url overrides body",
-			body:  QueryPlan{TargetRecall: 0.5, Probes: 2, Tables: 9},
-			query: "recall=0.9&probes=8",
-			want:  QueryPlan{TargetRecall: 0.9, Probes: 8, Tables: 9},
-		},
-		{
-			name:  "unrecognized params ignored",
-			query: "stats=1&spill=3&k=5",
-			want:  QueryPlan{},
-		},
-		{name: "garbage recall", query: "recall=high", wantErr: "recall"},
-		{name: "garbage probes", query: "probes=many", wantErr: "probes"},
-		{name: "float tables", query: "tables=1.5", wantErr: "tables"},
-		{name: "garbage stable_probes", query: "stable_probes=x", wantErr: "stable_probes"},
-	}
-	for _, tc := range cases {
+	for _, tc := range applyQueryParamsCases {
 		t.Run(tc.name, func(t *testing.T) {
 			vals, err := url.ParseQuery(tc.query)
 			if err != nil {
@@ -75,6 +79,7 @@ func TestQueryPlanValidate(t *testing.T) {
 		{QueryPlan{TargetRecall: 0.99, Probes: 8, Tables: 4, HierMinCandidates: 1, RerankFactor: 1, StableProbes: 1, MaxCandidates: 1}, ""},
 		{QueryPlan{TargetRecall: 1}, "recall"},
 		{QueryPlan{TargetRecall: -0.5}, "recall"},
+		{QueryPlan{TargetRecall: math.NaN()}, "recall"},
 		{QueryPlan{Probes: -1}, "probes"},
 		{QueryPlan{Probes: big}, "probes"},
 		{QueryPlan{Tables: -1}, "tables"},
@@ -116,22 +121,26 @@ func TestNormalizeK(t *testing.T) {
 	}
 }
 
+// decodePlanRequestCases is TestDecodePlanRequestWrites400's table; the
+// fuzz targets seed their corpora from it.
+var decodePlanRequestCases = []struct {
+	name   string
+	k      int
+	target string
+	want   string
+}{
+	{"bad k", -3, "/query", "k -3"},
+	{"huge k", MaxK + 1, "/query", "exceeds maximum"},
+	{"garbage param", 5, "/query?probes=lots", "probes"},
+	{"out of range param", 5, "/query?recall=2", "recall 2 outside"},
+	{"NaN recall", 5, "/query?recall=NaN", "recall NaN outside"},
+}
+
 // TestDecodePlanRequestWrites400 pins the shared pipeline's error
 // behavior: any invalid input draws a structured {"error": ...} 400 with
 // the offending value echoed, which both tiers then share verbatim.
 func TestDecodePlanRequestWrites400(t *testing.T) {
-	cases := []struct {
-		name   string
-		k      int
-		target string
-		want   string
-	}{
-		{"bad k", -3, "/query", "k -3"},
-		{"huge k", MaxK + 1, "/query", "exceeds maximum"},
-		{"garbage param", 5, "/query?probes=lots", "probes"},
-		{"out of range param", 5, "/query?recall=2", "recall 2 outside"},
-	}
-	for _, tc := range cases {
+	for _, tc := range decodePlanRequestCases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
 			r := httptest.NewRequest("POST", tc.target, nil)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -14,14 +15,27 @@ import (
 	"bilsh/internal/metrics"
 )
 
-// shardQueryRequest / shardQueryResponse mirror the shard server's
-// /query wire format (internal/server). The embedded plan fields forward
-// the merged (router default + per-request) execution plan verbatim; each
-// shard re-resolves TargetRecall against its own built parameters.
-type shardQueryRequest struct {
-	Vector []float32 `json:"vector"`
-	K      int       `json:"k"`
-	httpx.QueryPlan
+// appendShardQuery appends the shard server's /query body for one query
+// (internal/server): {"vector":...,"k":...} followed by the merged
+// (router default + per-request) plan's members, which each shard
+// re-resolves against its own built parameters. The vector is text
+// verbatim when non-nil, else v encoded as encoding/json would.
+func appendShardQuery(dst []byte, v []float32, text []byte, k int, plan httpx.QueryPlan) ([]byte, error) {
+	dst = append(dst, `{"vector":`...)
+	if text != nil {
+		dst = append(dst, text...)
+	} else {
+		var err error
+		if dst, err = httpx.AppendVector(dst, v); err != nil {
+			return nil, err
+		}
+	}
+	dst = strconv.AppendInt(append(dst, `,"k":`...), int64(k), 10)
+	dst, err := plan.AppendMembers(dst)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, '}'), nil
 }
 
 // shardPlanStats mirrors the shard server's per-query stats block
@@ -35,6 +49,7 @@ type shardPlanStats struct {
 	TerminatedEarly bool `json:"terminated_early"`
 }
 
+// shardQueryResponse mirrors the shard server's /query reply.
 type shardQueryResponse struct {
 	Neighbors  []Neighbor      `json:"neighbors"`
 	Candidates int             `json:"candidates"`
@@ -126,18 +141,15 @@ func (c *shardClient) readOrder() []string {
 	return append(healthy, fallback...)
 }
 
-// read issues a hedged, retried POST against the shard's replicas: the
-// first attempt goes to the next address in rotation; after the hedge
-// delay of silence a duplicate attempt races it on the following
-// address; failed attempts move on immediately. The first success wins.
-func (c *shardClient) read(ctx context.Context, path string, body, out interface{}) error {
+// read issues a hedged, retried POST of payload against the shard's
+// replicas: the first attempt goes to the next address in rotation; after
+// the hedge delay of silence a duplicate attempt races it on the
+// following address; failed attempts move on immediately. The first
+// success wins.
+func (c *shardClient) read(ctx context.Context, path string, payload []byte, out interface{}) error {
 	addrs := c.readOrder()
 	if len(addrs) == 0 {
 		return fmt.Errorf("router: shard %d has no usable addresses (all misconfigured)", c.id)
-	}
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
 	}
 	attempts := 1 + c.retries
 	if attempts > len(addrs) {

@@ -91,18 +91,24 @@ type queryRequest struct {
 	// parameters of the same names override them, exactly like the shard
 	// server's own /query.
 	httpx.QueryPlan
+
+	// text is the client's JSON text of Vector, forwarded to shards
+	// verbatim; nil when the body took encoding/json's path.
+	text []byte
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !httpx.DecodeBody(w, r, maxBodyBytes, &req) {
+	if !httpx.DecodeQuery(w, r, maxBodyBytes, httpx.QueryFields{
+		Vector: &req.Vector, VectorText: &req.text, K: &req.K, Spill: &req.Spill, Plan: &req.QueryPlan,
+	}, &req) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
 	if !ok {
 		return
 	}
-	res, err := rt.QueryPlan(r.Context(), req.Vector, k, req.Spill, req.QueryPlan, httpx.WantStats(r.URL.Query()))
+	res, err := rt.queryPlan(r.Context(), req.Vector, req.text, k, req.Spill, req.QueryPlan, httpx.WantStats(r.URL.Query()))
 	if err != nil {
 		rt.writeError(w, err)
 		return
@@ -115,11 +121,17 @@ type batchRequest struct {
 	K       int         `json:"k"`
 	Spill   int         `json:"spill"`
 	httpx.QueryPlan
+
+	// texts holds the client's JSON text of each vector, as
+	// queryRequest.text does.
+	texts [][]byte
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !httpx.DecodeBody(w, r, maxBodyBytes, &req) {
+	if !httpx.DecodeQuery(w, r, maxBodyBytes, httpx.QueryFields{
+		Vectors: &req.Vectors, VectorsText: &req.texts, K: &req.K, Spill: &req.Spill, Plan: &req.QueryPlan,
+	}, &req) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
@@ -133,7 +145,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wantStats := httpx.WantStats(r.URL.Query())
 	results := make([]*Result, len(req.Vectors))
 	for i, v := range req.Vectors {
-		res, err := rt.QueryPlan(r.Context(), v, k, req.Spill, req.QueryPlan, wantStats)
+		var text []byte
+		if req.texts != nil {
+			text = req.texts[i]
+		}
+		res, err := rt.queryPlan(r.Context(), v, text, k, req.Spill, req.QueryPlan, wantStats)
 		if err != nil {
 			rt.writeError(w, fmt.Errorf("vector %d: %w", i, err))
 			return

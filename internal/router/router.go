@@ -118,7 +118,12 @@ func New(o Options) (*Router, error) {
 	}
 	hc := o.Client
 	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
+		hc = &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: 16,
+			// Drop idle connections before a shard's own IdleTimeout
+			// does, so a request never races the shard closing one.
+			IdleConnTimeout: httpx.IdleTimeout / 2,
+		}}
 	}
 
 	rt := &Router{
@@ -213,6 +218,13 @@ func (rt *Router) Query(ctx context.Context, v []float32, k, spill int) (*Result
 // shard reports its PlanStats and the merge aggregates them
 // FailedShards-aware into Result.Stats.
 func (rt *Router) QueryPlan(ctx context.Context, v []float32, k, spill int, plan httpx.QueryPlan, wantStats bool) (*Result, error) {
+	return rt.queryPlan(ctx, v, nil, k, spill, plan, wantStats)
+}
+
+// queryPlan is QueryPlan with text, when non-nil, the JSON text of v as
+// the client sent it: each shard body carries it verbatim instead of
+// re-encoding v, and parses it to the same float32 values.
+func (rt *Router) queryPlan(ctx context.Context, v []float32, text []byte, k, spill int, plan httpx.QueryPlan, wantStats bool) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k must be >= 1, got %d", ErrBadQuery, k)
 	}
@@ -240,13 +252,20 @@ func (rt *Router) QueryPlan(ctx context.Context, v []float32, k, spill int, plan
 		err   error
 	}
 	replies := make([]shardReply, len(targets))
+	// One body serves every contacted shard; a vector that cannot be
+	// encoded (NaN or infinite components) fails each of them.
+	payload, bodyErr := appendShardQuery(nil, v, text, k, plan)
 	var wg sync.WaitGroup
 	for i, shard := range targets {
+		if bodyErr != nil {
+			replies[i] = shardReply{shard: shard, err: bodyErr}
+			continue
+		}
 		wg.Add(1)
 		go func(i, shard int) {
 			defer wg.Done()
 			var resp shardQueryResponse
-			err := rt.clients[shard].read(ctx, path, shardQueryRequest{Vector: v, K: k, QueryPlan: plan}, &resp)
+			err := rt.clients[shard].read(ctx, path, payload, &resp)
 			replies[i] = shardReply{shard: shard, resp: resp, err: err}
 		}(i, shard)
 	}

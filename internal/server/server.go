@@ -266,7 +266,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decodeBody(w, r, &req) {
+	if !httpx.DecodeQuery(w, r, maxBodyBytes, httpx.QueryFields{
+		Vector: &req.Vector, K: &req.K, Plan: &req.QueryPlan,
+	}, &req) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
@@ -287,7 +289,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeBody(w, r, &req) {
+	if !httpx.DecodeQuery(w, r, maxBodyBytes, httpx.QueryFields{
+		Vectors: &req.Vectors, K: &req.K, Workers: &req.Workers, Plan: &req.QueryPlan,
+	}, &req) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
