@@ -173,7 +173,7 @@ func cmdQuery(args []string) error {
 	queryPath := fs.String("queries", "", "fvecs file with query vectors (required)")
 	k := fs.Int("k", 10, "neighbors per query")
 	maxQ := fs.Int("maxq", 1000, "cap on queries evaluated")
-	workers := fs.Int("workers", 0, "parallel query workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "parallel query workers, clamped to GOMAXPROCS (0 = GOMAXPROCS, 1 = serial)")
 	truthCheck := fs.Bool("truth", false, "also compute exact ground truth and report recall")
 	verbose := fs.Bool("v", false, "print each query's neighbors")
 	if err := fs.Parse(args); err != nil {
@@ -181,6 +181,9 @@ func cmdQuery(args []string) error {
 	}
 	if *indexPath == "" || *queryPath == "" {
 		return fmt.Errorf("query: -index and -queries are required")
+	}
+	if *k < 1 {
+		return fmt.Errorf("query: -k must be >= 1, got %d", *k)
 	}
 	ix, closeIx, err := openAnyIndex(*indexPath)
 	if err != nil {
@@ -195,7 +198,7 @@ func cmdQuery(args []string) error {
 		return fmt.Errorf("dimension mismatch: index %d vs queries %d", ix.Dim(), queries.D)
 	}
 	start := time.Now()
-	results, stats := ix.QueryBatchParallel(queries, *k, *workers)
+	results, stats := ix.QueryBatch(queries, core.Plan{K: *k}, *workers)
 	dur := time.Since(start)
 
 	var sel float64
@@ -304,7 +307,7 @@ type indexReader interface {
 	Dim() int
 	NumGroups() int
 	Options() core.Options
-	QueryBatchParallel(queries *vec.Matrix, k, workers int) ([]knn.Result, []core.QueryStats)
+	QueryBatch(queries *vec.Matrix, p core.Plan, workers int) ([]knn.Result, []core.PlanStats)
 	ExactKNN(q []float32, k int) knn.Result
 	Describe() core.Description
 }

@@ -53,6 +53,9 @@ func cmdSearch(args []string) error {
 	if queries.D != data.D {
 		return fmt.Errorf("dimension mismatch: data %d vs queries %d", data.D, queries.D)
 	}
+	if *k < 1 {
+		return fmt.Errorf("search: -k must be >= 1, got %d", *k)
+	}
 
 	metric, err := core.ParseMetricKind(*metricName)
 	if err != nil {
@@ -95,22 +98,9 @@ func cmdSearch(args []string) error {
 	}
 	buildDur := time.Since(start)
 
-	plan := core.Plan{TargetRecall: *recall, StableProbes: *stableProbes, MaxCandidates: *maxCands}
-	planned := !plan.IsDefault()
+	plan := core.Plan{K: *k, TargetRecall: *recall, StableProbes: *stableProbes, MaxCandidates: *maxCands}
 	start = time.Now()
-	var results []knn.Result
-	var stats []core.QueryStats
-	var planStats []core.PlanStats
-	if planned {
-		plan.K = *k
-		results, planStats = ix.QueryBatchPlan(queries, plan)
-		stats = make([]core.QueryStats, len(planStats))
-		for i := range planStats {
-			stats[i] = planStats[i].QueryStats
-		}
-	} else {
-		results, stats = ix.QueryBatch(queries, *k)
-	}
+	results, stats := ix.QueryBatch(queries, plan, 1)
 	queryDur := time.Since(start)
 
 	// Ground truth in the index's own metric: brute-force Euclidean over
@@ -139,11 +129,11 @@ func cmdSearch(args []string) error {
 		queryDur.Round(time.Millisecond), nq/queryDur.Seconds())
 	fmt.Printf("method: bilevel=%v lattice=%v probe=%v groups=%d M=%d L=%d Wx=%g\n",
 		*bilevel, opts.Lattice, opts.ProbeMode, ix.NumGroups(), *m, *l, *w)
-	if planned {
+	if !plan.IsDefault() {
 		var tables, early float64
-		for i := range planStats {
-			tables += float64(planStats[i].TablesProbed)
-			if planStats[i].TerminatedEarly {
+		for i := range stats {
+			tables += float64(stats[i].TablesProbed)
+			if stats[i].TerminatedEarly {
 				early++
 			}
 		}

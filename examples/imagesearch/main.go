@@ -72,7 +72,7 @@ func main() {
 		buildDur := time.Since(start)
 
 		start = time.Now()
-		results, stats := ix.QueryBatch(queries, k)
+		results, stats := ix.QueryBatch(queries, core.Plan{K: k}, 1)
 		queryDur := time.Since(start)
 
 		var recall, errRatio, sel float64

@@ -44,12 +44,14 @@ func TestQueryAllocs(t *testing.T) {
 			// mark. Use one pinned scratch so a GC clearing the pool between
 			// runs cannot charge a re-allocation to the measurement.
 			s := ix.getScratch()
+			sn := ix.loadSnap()
+			rp := sn.defaultResolved(5)
 			for i := 0; i < qs.N; i++ {
-				ix.query(qs.Row(i), 5, s)
+				sn.queryPlan(qs.Row(i), &rp, rp.hierFloor(), s)
 			}
 			qi := 0
 			got := testing.AllocsPerRun(200, func() {
-				ix.query(qs.Row(qi%qs.N), 5, s)
+				sn.queryPlan(qs.Row(qi%qs.N), &rp, rp.hierFloor(), s)
 				qi++
 			})
 			// knn.Result's IDs and Dists are the only permitted allocations.

@@ -207,7 +207,7 @@ func TestQueryBatchMedianRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := data.Subset([]int{0, 10, 20, 30, 40, 50, 60, 70})
-	results, stats := ix.QueryBatch(queries, 5)
+	results, stats := ix.QueryBatch(queries, Plan{K: 5}, 1)
 	if len(results) != 8 || len(stats) != 8 {
 		t.Fatal("batch sizes wrong")
 	}
@@ -220,8 +220,10 @@ func TestQueryBatchMedianRule(t *testing.T) {
 	// least min(median, everything-reachable) candidates.
 	sizes := make([]int, queries.N)
 	sc := ix.getScratch()
+	sn := ix.loadSnap()
+	rp := sn.defaultResolved(5)
 	for qi := 0; qi < queries.N; qi++ {
-		sizes[qi] = ix.plainShortListSize(queries.Row(qi), sc)
+		sizes[qi] = sn.gatherPlan(queries.Row(qi), &rp, ProbeSingle, 0, sc).Candidates
 	}
 	ix.putScratch(sc)
 	median := medianInt(sizes)

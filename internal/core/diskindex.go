@@ -156,8 +156,7 @@ func (ix *Index) SaveDisk(path string) error {
 }
 
 // DiskIndex is a queryable index whose vector rows live on disk. It
-// supports the full reader API (Query, QueryBatch, QueryBatchParallel,
-// ExactKNN); dynamic inserts work (new rows live in memory) and Compact
+// supports the full reader API (Query, QueryPlan, QueryBatch, ExactKNN); dynamic inserts work (new rows live in memory) and Compact
 // materializes the whole index back into memory. For v3 files the index
 // is served straight off the mapping — see docs/outofcore.md.
 type DiskIndex struct {

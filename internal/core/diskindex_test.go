@@ -56,8 +56,8 @@ func TestDiskIndexMatchesInMemory(t *testing.T) {
 			}
 		}
 		// Parallel reads against the same file handle must be safe.
-		pr, _ := di.QueryBatchParallel(queries, 6, 4)
-		sr, _ := ix.QueryBatch(queries, 6)
+		pr, _ := di.QueryBatch(queries, Plan{K: 6}, 4)
+		sr, _ := ix.QueryBatch(queries, Plan{K: 6}, 1)
 		if !reflect.DeepEqual(pr, sr) {
 			t.Fatal("parallel disk results differ")
 		}

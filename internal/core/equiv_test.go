@@ -458,29 +458,22 @@ func TestCandidateListMatchesReference(t *testing.T) {
 }
 
 // TestQueryBatchMatchesReference pins the batch median rule (including the
-// plain short-list sizing pass) and the parallel path to the reference.
+// plain short-list sizing pass), serial and fanned out, to the reference.
 func TestQueryBatchMatchesReference(t *testing.T) {
 	for _, lat := range []LatticeKind{LatticeZM, LatticeE8} {
 		t.Run(fmt.Sprintf("%v", lat), func(t *testing.T) {
 			ix, qs := equivIndex(t, lat, ProbeHierarchy, true)
 			const k = 5
-			gotRes, gotSt := ix.QueryBatch(qs, k)
 			wantRes, wantSt := refQueryBatch(ix, qs, k)
-			for qi := range wantRes {
-				if !reflect.DeepEqual(gotRes[qi], wantRes[qi]) {
-					t.Fatalf("batch query %d: result mismatch\n got %+v\nwant %+v", qi, gotRes[qi], wantRes[qi])
-				}
-				if !sameStats(gotSt[qi], wantSt[qi]) {
-					t.Fatalf("batch query %d: stats mismatch\n got %+v\nwant %+v", qi, gotSt[qi], wantSt[qi])
-				}
-			}
-			parRes, parSt := ix.QueryBatchParallel(qs, k, 4)
-			for qi := range wantRes {
-				if !reflect.DeepEqual(parRes[qi], wantRes[qi]) {
-					t.Fatalf("parallel query %d: result mismatch\n got %+v\nwant %+v", qi, parRes[qi], wantRes[qi])
-				}
-				if !sameStats(parSt[qi], wantSt[qi]) {
-					t.Fatalf("parallel query %d: stats mismatch\n got %+v\nwant %+v", qi, parSt[qi], wantSt[qi])
+			for _, workers := range []int{1, 4} {
+				gotRes, gotSt := ix.QueryBatch(qs, Plan{K: k}, workers)
+				for qi := range wantRes {
+					if !reflect.DeepEqual(gotRes[qi], wantRes[qi]) {
+						t.Fatalf("workers=%d batch query %d: result mismatch\n got %+v\nwant %+v", workers, qi, gotRes[qi], wantRes[qi])
+					}
+					if !sameStats(gotSt[qi].QueryStats, wantSt[qi]) {
+						t.Fatalf("workers=%d batch query %d: stats mismatch\n got %+v\nwant %+v", workers, qi, gotSt[qi].QueryStats, wantSt[qi])
+					}
 				}
 			}
 		})
@@ -592,13 +585,13 @@ func TestCompactEquivalentToFreshBuild(t *testing.T) {
 						t.Fatalf("query %d: stats mismatch\n got %+v\nwant %+v", qi, gotSt, wantSt)
 					}
 				}
-				gotRes, gotSt := ix.QueryBatch(qs, k)
-				wantRes, wantSt := fresh.QueryBatch(qs, k)
+				gotRes, gotSt := ix.QueryBatch(qs, Plan{K: k}, 1)
+				wantRes, wantSt := fresh.QueryBatch(qs, Plan{K: k}, 1)
 				for qi := range wantRes {
 					if !reflect.DeepEqual(gotRes[qi], wantRes[qi]) {
 						t.Fatalf("batch query %d: compacted differs from fresh build\n got %+v\nwant %+v", qi, gotRes[qi], wantRes[qi])
 					}
-					if !sameStats(gotSt[qi], wantSt[qi]) {
+					if !sameStats(gotSt[qi].QueryStats, wantSt[qi].QueryStats) {
 						t.Fatalf("batch query %d: stats mismatch\n got %+v\nwant %+v", qi, gotSt[qi], wantSt[qi])
 					}
 				}

@@ -21,9 +21,8 @@ import (
 // Options.Partitioner is PartitionNone).
 //
 // Concurrency: the index is safe for unrestricted concurrent use. Readers
-// (Query, QueryBatch, QueryBatchParallel, CandidateList, ExactKNN,
-// Describe, Len, Epoch, ...) load the current snapshot once and never take
-// a lock. Writers (Insert, Delete, Compact, RebuildHierarchies) serialize
+// (Query, QueryPlan, QueryBatch, CandidateList, ExactKNN, Describe, Len,
+// Epoch, ...) load the current snapshot once and never take a lock. Writers (Insert, Delete, Compact, RebuildHierarchies) serialize
 // on a short-held mutex; Compact additionally runs its rebuild outside the
 // mutex, so reads and writes keep flowing while it works. See
 // docs/concurrency.md.

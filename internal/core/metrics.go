@@ -6,8 +6,8 @@ import (
 	"bilsh/internal/metrics"
 )
 
-// Process-wide observability for the hot path. Every Query/QueryBatch/
-// QueryBatchParallel call aggregates its QueryStats into the default
+// Process-wide observability for the hot path. Every query answered by
+// Query, QueryPlan or QueryBatch aggregates its QueryStats into the default
 // metrics registry so a running server (GET /metrics) or an experiment
 // run (bilsh exp -metrics) can see where time goes without any per-call
 // plumbing. All instruments are resolved once at package init; the
@@ -23,9 +23,9 @@ import (
 // docs/metrics.md is the catalogue of every name exported here.
 var (
 	metQueries = metrics.Default().Counter(
-		"bilsh_core_queries_total", "Queries answered (single, batch, and parallel-batch paths).")
+		"bilsh_core_queries_total", "Queries answered (single and batch paths).")
 	metBatches = metrics.Default().Counter(
-		"bilsh_core_batches_total", "QueryBatch/QueryBatchParallel calls.")
+		"bilsh_core_batches_total", "QueryBatch calls.")
 	metCandLists = metrics.Default().Counter(
 		"bilsh_core_candidate_lists_total", "CandidateList calls (external short-list engines).")
 	metInserts = metrics.Default().Counter(
@@ -66,10 +66,11 @@ var (
 	metCompactSeconds = metrics.Default().Histogram(
 		"bilsh_core_compact_seconds", "Compact latency.", metrics.DefLatencyBuckets)
 
-	// Adaptive-plan instruments (see docs/adaptive.md). Every query runs
-	// under a plan — the default plan resolves to the built budgets — so
-	// the resolved-tables histogram shows the live budget mix, and the
-	// early-termination counter how often the plateau policy saved work.
+	// Adaptive-plan instruments (see docs/adaptive.md). Every query, batch
+	// queries included, runs under a plan — the default plan resolves to
+	// the built budgets — so the resolved-tables histogram shows the live
+	// budget mix, and the early-termination counter how often the plateau
+	// policy saved work.
 	metAdaptiveEarlyTerm = metrics.Default().Counter(
 		"bilsh_adaptive_early_terminations_total",
 		"Queries whose probe loop stopped before the resolved budget (StableProbes or MaxCandidates trigger).")

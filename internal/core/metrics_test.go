@@ -39,8 +39,8 @@ func TestQueryRecordsMetrics(t *testing.T) {
 		t.Fatalf("implausible stage total %v", total)
 	}
 
-	ix.QueryBatch(queries, 5)
-	ix.QueryBatchParallel(queries, 5, 2)
+	ix.QueryBatch(queries, Plan{K: 5}, 1)
+	ix.QueryBatch(queries, Plan{K: 5}, 2)
 
 	if got := metQueries.Value() - q0; got != 21 {
 		t.Errorf("queries counter moved by %d, want 21 (1 + 10 + 10)", got)
@@ -53,6 +53,30 @@ func TestQueryRecordsMetrics(t *testing.T) {
 	}
 	if got := metStageProbe.Count() - s0; got != 21 {
 		t.Errorf("probe stage histogram grew by %d, want 21", got)
+	}
+
+	// Every batch query runs under a plan, so the hierarchy median-rule
+	// path records its resolved budget and early stops like Query does.
+	hix, err := Build(data, Options{Partitioner: PartitionNone, ProbeMode: ProbeHierarchy,
+		Params: lshfunc.Params{M: 4, L: 3, W: 2}}, xrand.New(93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		r0, e0 := metAdaptiveResolvedTables.Count(), metAdaptiveEarlyTerm.Value()
+		_, ps := hix.QueryBatch(queries, Plan{K: 5, StableProbes: 1}, workers)
+		if got := metAdaptiveResolvedTables.Count() - r0; got != int64(queries.N) {
+			t.Errorf("workers=%d: resolved-tables histogram grew by %d, want %d", workers, got, queries.N)
+		}
+		var early int64
+		for _, st := range ps {
+			if st.TerminatedEarly {
+				early++
+			}
+		}
+		if got := metAdaptiveEarlyTerm.Value() - e0; got != early {
+			t.Errorf("workers=%d: early-termination counter moved by %d, want %d", workers, got, early)
+		}
 	}
 }
 

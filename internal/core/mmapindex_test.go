@@ -116,12 +116,14 @@ func TestMappedQueryAllocs(t *testing.T) {
 			copy(qs.Row(i), data.Row(rng.Intn(n)))
 		}
 		s := di.getScratch()
+		sn := di.loadSnap()
+		rp := sn.defaultResolved(5)
 		for i := 0; i < qs.N; i++ {
-			di.query(qs.Row(i), 5, s)
+			sn.queryPlan(qs.Row(i), &rp, rp.hierFloor(), s)
 		}
 		qi := 0
 		got := testing.AllocsPerRun(200, func() {
-			di.query(qs.Row(qi%qs.N), 5, s)
+			sn.queryPlan(qs.Row(qi%qs.N), &rp, rp.hierFloor(), s)
 			qi++
 		})
 		if got > 2 {

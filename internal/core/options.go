@@ -17,7 +17,7 @@
 // ReadIndex), a disk-backed layout whose vector rows stay on disk
 // (WriteDiskTo / OpenDisk), streaming out-of-core construction from fvecs
 // files (BuildDisk), dynamic updates (Insert / Delete / Compact), parallel
-// batch queries (QueryBatchParallel) and introspection (Describe). An
+// batch queries (QueryBatch) and introspection (Describe). An
 // Index is safe for unrestricted concurrent use: readers run lock-free
 // against immutable published snapshots, mutators serialize internally,
 // and Compact rebuilds in the background without blocking either (see

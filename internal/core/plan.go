@@ -161,6 +161,15 @@ func (rp *resolvedPlan) term() bool {
 	return rp.stableProbes > 0 || rp.maxCandidates > 0
 }
 
+// hierFloor is the plan's single-query ProbeHierarchy bucket-size floor:
+// the resolved HierMinCandidates, or 2k when unset.
+func (rp *resolvedPlan) hierFloor() int {
+	if rp.hierMin > 0 {
+		return rp.hierMin
+	}
+	return 2 * rp.k
+}
+
 // defaultResolved is the resolved form of Plan{K: k}: the index's built
 // budgets, verbatim.
 func (sn *snapshot) defaultResolved(k int) resolvedPlan {

@@ -123,31 +123,25 @@ func TestQueryPlanDefaultMatchesQuery(t *testing.T) {
 	}
 }
 
-// TestQueryBatchPlanDefaultMatchesQueryBatch pins the batch entry points
-// (including the hierarchy median sizing rule and the parallel path) to
-// the legacy batch API under a default plan.
+// TestQueryBatchPlanDefaultMatchesQueryBatch pins QueryBatch under a
+// default plan to the legacy batch protocol (refQueryBatch: Query per
+// query for flat probe modes, the median rule for hierarchy), serial and
+// fanned out.
 func TestQueryBatchPlanDefaultMatchesQueryBatch(t *testing.T) {
 	for _, mode := range []ProbeMode{ProbeSingle, ProbeHierarchy} {
 		t.Run(mode.String(), func(t *testing.T) {
 			ix, qs := equivIndex(t, LatticeZM, mode, true)
 			const k = 5
-			wantRes, wantSt := ix.QueryBatch(qs, k)
-			gotRes, ps := ix.QueryBatchPlan(qs, Plan{K: k})
-			for qi := range wantRes {
-				if !reflect.DeepEqual(gotRes[qi], wantRes[qi]) {
-					t.Fatalf("batch query %d: result mismatch\n got %+v\nwant %+v", qi, gotRes[qi], wantRes[qi])
-				}
-				if !sameStats(ps[qi].QueryStats, wantSt[qi]) {
-					t.Fatalf("batch query %d: stats mismatch\n got %+v\nwant %+v", qi, ps[qi].QueryStats, wantSt[qi])
-				}
-			}
-			parRes, parPs := ix.QueryBatchParallelPlan(qs, Plan{K: k}, 4)
-			for qi := range wantRes {
-				if !reflect.DeepEqual(parRes[qi], wantRes[qi]) {
-					t.Fatalf("parallel query %d: result mismatch\n got %+v\nwant %+v", qi, parRes[qi], wantRes[qi])
-				}
-				if !sameStats(parPs[qi].QueryStats, wantSt[qi]) {
-					t.Fatalf("parallel query %d: stats mismatch\n got %+v\nwant %+v", qi, parPs[qi].QueryStats, wantSt[qi])
+			wantRes, wantSt := refQueryBatch(ix, qs, k)
+			for _, workers := range []int{1, 4} {
+				gotRes, ps := ix.QueryBatch(qs, Plan{K: k}, workers)
+				for qi := range wantRes {
+					if !reflect.DeepEqual(gotRes[qi], wantRes[qi]) {
+						t.Fatalf("workers=%d query %d: result mismatch\n got %+v\nwant %+v", workers, qi, gotRes[qi], wantRes[qi])
+					}
+					if !sameStats(ps[qi].QueryStats, wantSt[qi]) {
+						t.Fatalf("workers=%d query %d: stats mismatch\n got %+v\nwant %+v", workers, qi, ps[qi].QueryStats, wantSt[qi])
+					}
 				}
 			}
 		})
@@ -264,12 +258,12 @@ func TestQueryPlanAllocs(t *testing.T) {
 			sn := ix.loadSnap()
 			for i := 0; i < qs.N; i++ {
 				rp := sn.resolve(p)
-				sn.queryPlan(qs.Row(i), &rp, s)
+				sn.queryPlan(qs.Row(i), &rp, rp.hierFloor(), s)
 			}
 			qi := 0
 			got := testing.AllocsPerRun(200, func() {
 				rp := sn.resolve(p)
-				sn.queryPlan(qs.Row(qi%qs.N), &rp, s)
+				sn.queryPlan(qs.Row(qi%qs.N), &rp, rp.hierFloor(), s)
 				qi++
 			})
 			if got > 2 {

@@ -314,12 +314,14 @@ func TestQueryAllocsQuantized(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ix.getScratch()
+	sn := ix.loadSnap()
+	rp := sn.defaultResolved(5)
 	for i := 0; i < qs.N; i++ {
-		ix.query(qs.Row(i), 5, s)
+		sn.queryPlan(qs.Row(i), &rp, rp.hierFloor(), s)
 	}
 	qi := 0
 	got := testing.AllocsPerRun(200, func() {
-		ix.query(qs.Row(qi%qs.N), 5, s)
+		sn.queryPlan(qs.Row(qi%qs.N), &rp, rp.hierFloor(), s)
 		qi++
 	})
 	if got > 2 {

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"bilsh/internal/knn"
@@ -15,8 +16,8 @@ import (
 // The read path. Every public query entry point loads the current snapshot
 // exactly once and runs entirely against that view, so queries never take
 // a lock and are unaffected by concurrent inserts, deletes and
-// compactions. Batch entry points pin one snapshot for the whole batch,
-// which keeps the hierarchy median rule internally consistent.
+// compactions. QueryBatch pins one snapshot for the whole batch, which
+// keeps the hierarchy median rule internally consistent.
 
 // StageTimings breaks one query's latency down by pipeline stage. The
 // stages follow the paper's Section V pipeline; see the metrics catalogue
@@ -76,17 +77,8 @@ func (ix *Index) Query(q []float32, k int) (knn.Result, QueryStats) {
 	}
 	s := ix.getScratch()
 	defer ix.putScratch(s)
-	return sn.query(q, k, s)
-}
-
-// query is the test seam behind Query: one snapshot load, no validation.
-func (ix *Index) query(q []float32, k int, s *scratch) (knn.Result, QueryStats) {
-	return ix.loadSnap().query(q, k, s)
-}
-
-func (sn *snapshot) query(q []float32, k int, s *scratch) (knn.Result, QueryStats) {
 	rp := sn.defaultResolved(k)
-	res, ps := sn.queryPlan(q, &rp, s)
+	res, ps := sn.queryPlan(q, &rp, rp.hierFloor(), s)
 	return res, ps.QueryStats
 }
 
@@ -107,17 +99,15 @@ func (ix *Index) QueryPlan(q []float32, p Plan) (knn.Result, PlanStats) {
 	s := ix.getScratch()
 	defer ix.putScratch(s)
 	rp := sn.resolve(p)
-	return sn.queryPlan(q, &rp, s)
+	return sn.queryPlan(q, &rp, rp.hierFloor(), s)
 }
 
-// queryPlan is the single execution core every public query entry point
-// funnels through: gather under the resolved plan, rank, record.
-func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, s *scratch) (knn.Result, PlanStats) {
+// queryPlan is the single execution core every query entry point funnels
+// through: gather under the resolved plan, rank, record. minCount is the
+// ProbeHierarchy bucket-size floor — rp.hierFloor() for single queries,
+// the batch median rule's per-query floor inside QueryBatch.
+func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, minCount int, s *scratch) (knn.Result, PlanStats) {
 	start := time.Now()
-	minCount := rp.hierMin
-	if minCount <= 0 {
-		minCount = 2 * rp.k
-	}
 	ps := sn.gatherPlan(q, rp, sn.opts.ProbeMode, minCount, s)
 	rankStart := time.Now()
 	res := sn.rankWith(q, rp.k, rp.rerank, s)
@@ -125,26 +115,6 @@ func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, s *scratch) (knn.Re
 	recordQuery(&ps.QueryStats, time.Since(start))
 	recordPlan(&ps)
 	return res, ps
-}
-
-// gather collects the candidate id set for q into s.cands under the
-// index's probe mode. For ProbeHierarchy, hierMinCount is the bucket-size
-// floor for sparse queries.
-func (ix *Index) gather(q []float32, hierMinCount int, s *scratch) QueryStats {
-	return ix.loadSnap().gather(q, hierMinCount, s)
-}
-
-func (sn *snapshot) gather(q []float32, hierMinCount int, s *scratch) QueryStats {
-	return sn.gatherMode(q, hierMinCount, sn.opts.ProbeMode, s)
-}
-
-// gatherMode is the default-plan candidate-collection entry behind gather
-// and plainShortListSize (which forces ProbeSingle regardless of the
-// index's configured mode, per the Section VI-B4c median rule).
-func (sn *snapshot) gatherMode(q []float32, hierMinCount int, mode ProbeMode, s *scratch) QueryStats {
-	rp := sn.defaultResolved(0)
-	ps := sn.gatherPlan(q, &rp, mode, hierMinCount, s)
-	return ps.QueryStats
 }
 
 // gatherPlan is the shared probe loop behind every query path: it walks
@@ -261,11 +231,8 @@ func (ix *Index) CandidateList(q []float32) ([]int, QueryStats) {
 	sn := ix.loadSnap()
 	s := ix.getScratch()
 	defer ix.putScratch(s)
-	minCount := sn.opts.HierMinCandidates
-	if minCount <= 0 {
-		minCount = 2 * sn.opts.TuneK
-	}
-	st := sn.gather(q, minCount, s)
+	rp := sn.defaultResolved(sn.opts.TuneK)
+	st := sn.gatherPlan(q, &rp, sn.opts.ProbeMode, rp.hierFloor(), s).QueryStats
 	metCandLists.Inc()
 	recordStages(&st)
 	slices.Sort(s.cands)
@@ -274,20 +241,6 @@ func (ix *Index) CandidateList(q []float32) ([]int, QueryStats) {
 		ids[i] = int(id)
 	}
 	return ids, st
-}
-
-// plainShortListSize returns the candidate count the query would see with
-// single-bucket probing — the quantity whose batch median drives the
-// hierarchical rule of Section VI-B4c. It runs the same collection core as
-// real queries (gatherMode with ProbeSingle), so tombstone filtering and
-// overlay handling cannot drift from the probe path.
-func (ix *Index) plainShortListSize(q []float32, s *scratch) int {
-	return ix.loadSnap().plainShortListSize(q, s)
-}
-
-func (sn *snapshot) plainShortListSize(q []float32, s *scratch) int {
-	st := sn.gatherMode(q, 0, ProbeSingle, s)
-	return st.Candidates
 }
 
 // ExactKNN computes exact k nearest neighbors by linear scan over the
@@ -324,21 +277,12 @@ func (ix *Index) ExactKNN(q []float32, k int) knn.Result {
 	return r
 }
 
-// rank is the serial short-list search over the candidate set in s.cands.
-// Candidates are ranked in ascending id order: ids index a contiguous
-// row-major matrix, so the scan walks memory forward (the linear-array
-// layout of Section V-A) and the result is independent of collection
-// order.
-func (ix *Index) rank(q []float32, k int, s *scratch) knn.Result {
-	return ix.loadSnap().rank(q, k, s)
-}
-
-func (sn *snapshot) rank(q []float32, k int, s *scratch) knn.Result {
-	return sn.rankWith(q, k, 0, s)
-}
-
-// rankWith is rank with a per-plan re-rank factor override (0 keeps the
-// index default; only meaningful under SQ8 quantization).
+// rankWith is the serial short-list search over the candidate set in
+// s.cands. Candidates are ranked in ascending id order: ids index a
+// contiguous row-major matrix, so the scan walks memory forward (the
+// linear-array layout of Section V-A) and the result is independent of
+// collection order. rerank is the plan's SQ8 re-rank factor override (0
+// keeps the index default; only meaningful under quantization).
 func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result {
 	if sn.sketches != nil {
 		return sn.rankHamming(k, s)
@@ -447,111 +391,103 @@ func (sn *snapshot) rankBaseQuantized(q []float32, k, rerank int, s *scratch, h 
 	}
 }
 
-// QueryBatch answers a whole query set against one snapshot. For
-// ProbeHierarchy it implements the paper's protocol: compute every query's
-// plain short-list size, take the batch median as the threshold, and climb
-// the hierarchy only for queries below it. Other probe modes map Query
-// over the batch. One scratch serves the whole batch.
-func (ix *Index) QueryBatch(queries *vec.Matrix, k int) ([]knn.Result, []QueryStats) {
-	metBatches.Inc()
-	sn := ix.loadSnap()
-	results := make([]knn.Result, queries.N)
-	stats := make([]QueryStats, queries.N)
-	if k < 1 {
-		return results, stats
-	}
-	s := ix.getScratch()
-	defer ix.putScratch(s)
-
-	if sn.opts.ProbeMode != ProbeHierarchy {
-		for qi := 0; qi < queries.N; qi++ {
-			results[qi], stats[qi] = sn.query(queries.Row(qi), k, s)
-		}
-		return results, stats
-	}
-
-	sizes := make([]int, queries.N)
-	for qi := 0; qi < queries.N; qi++ {
-		sizes[qi] = sn.plainShortListSize(queries.Row(qi), s)
-	}
-	median := medianInt(sizes)
-	if median < 1 {
-		median = 1
-	}
-	for qi := 0; qi < queries.N; qi++ {
-		start := time.Now()
-		q := queries.Row(qi)
-		minCount := 1 // at least the home bucket group
-		if sizes[qi] < median {
-			// Sparse query: demand a group at least as populated as the
-			// batch median.
-			minCount = median
-		}
-		st := sn.gather(q, minCount, s)
-		rankStart := time.Now()
-		results[qi] = sn.rank(q, k, s)
-		st.Timings.Rank = time.Since(rankStart)
-		recordQuery(&st, time.Since(start))
-		stats[qi] = st
-	}
-	return results, stats
-}
-
-// QueryBatchPlan is QueryBatch under an explicit plan, returning per-query
-// PlanStats. QueryBatchPlan(queries, Plan{K: k}) matches QueryBatch
-// byte-for-byte. Under ProbeHierarchy the paper's median rule still
-// applies unless the plan sets HierMinCandidates, which replaces the rule
-// with a fixed floor for every query in the batch (the sizing pass is then
-// skipped entirely). The median sizing pass never terminates early: sizes
+// QueryBatch answers a whole query set under one plan against one pinned
+// snapshot, fanned out over workers goroutines; workers == 1 runs inline
+// on a single scratch, and every worker holds one pooled scratch for its
+// whole share, so the batch is as allocation-free as Query. The worker
+// count is clamped to [1, GOMAXPROCS] (workers <= 0 means GOMAXPROCS):
+// the loop is CPU-bound, so extra goroutines would add no throughput,
+// only a scratch each. Results and deterministic stats do not depend on
+// workers.
+//
+// Under ProbeHierarchy the batch follows the paper's protocol (Section
+// VI-B4c): size every query's plain single-bucket short list, take the
+// batch median, and let only queries below it climb the hierarchy to a
+// group at least that populated. A plan with HierMinCandidates set
+// replaces the rule with that fixed floor for every query (the sizing
+// pass is then skipped). The sizing pass never terminates early: sizes
 // feed the batch-wide threshold, so they must be budget-complete.
-func (ix *Index) QueryBatchPlan(queries *vec.Matrix, p Plan) ([]knn.Result, []PlanStats) {
+//
+// Like Query, a batch whose dimension differs from the index, or a plan
+// with K < 1, yields N empty results.
+func (ix *Index) QueryBatch(queries *vec.Matrix, p Plan, workers int) ([]knn.Result, []PlanStats) {
 	metBatches.Inc()
 	sn := ix.loadSnap()
 	results := make([]knn.Result, queries.N)
 	stats := make([]PlanStats, queries.N)
-	if p.K < 1 {
+	if queries.D != sn.data.D || p.K < 1 {
 		return results, stats
 	}
-	s := ix.getScratch()
-	defer ix.putScratch(s)
+	workers = batchWorkers(workers)
 	rp := sn.resolve(p)
 
-	// The plan's floor (not the index default) decides whether the median
-	// rule runs: QueryBatch applies the rule whenever the mode is
-	// hierarchy, so the default plan must too.
-	if sn.opts.ProbeMode != ProbeHierarchy || p.HierMinCandidates > 0 {
-		for qi := 0; qi < queries.N; qi++ {
-			results[qi], stats[qi] = sn.queryPlan(queries.Row(qi), &rp, s)
+	var sizes []int
+	median := 0
+	if sn.opts.ProbeMode == ProbeHierarchy && p.HierMinCandidates <= 0 {
+		sizeRP := rp
+		sizeRP.stableProbes, sizeRP.maxCandidates = 0, 0
+		sizes = make([]int, queries.N)
+		ix.parallelFor(queries.N, workers, func(qi int, s *scratch) {
+			sizes[qi] = sn.gatherPlan(queries.Row(qi), &sizeRP, ProbeSingle, 0, s).Candidates
+		})
+		median = max(medianInt(sizes), 1)
+	}
+	ix.parallelFor(queries.N, workers, func(qi int, s *scratch) {
+		minCount := rp.hierFloor()
+		if sizes != nil {
+			// Dense queries keep their home bucket group; sparse ones
+			// demand a group at least as populated as the batch median.
+			minCount = 1
+			if sizes[qi] < median {
+				minCount = median
+			}
 		}
-		return results, stats
-	}
-
-	sizeRP := rp
-	sizeRP.stableProbes, sizeRP.maxCandidates = 0, 0
-	sizes := make([]int, queries.N)
-	for qi := 0; qi < queries.N; qi++ {
-		sizes[qi] = sn.gatherPlan(queries.Row(qi), &sizeRP, ProbeSingle, 0, s).Candidates
-	}
-	median := medianInt(sizes)
-	if median < 1 {
-		median = 1
-	}
-	for qi := 0; qi < queries.N; qi++ {
-		start := time.Now()
-		q := queries.Row(qi)
-		minCount := 1 // at least the home bucket group
-		if sizes[qi] < median {
-			minCount = median
-		}
-		ps := sn.gatherPlan(q, &rp, ProbeHierarchy, minCount, s)
-		rankStart := time.Now()
-		results[qi] = sn.rankWith(q, rp.k, rp.rerank, s)
-		ps.Timings.Rank = time.Since(rankStart)
-		recordQuery(&ps.QueryStats, time.Since(start))
-		recordPlan(&ps)
-		stats[qi] = ps
-	}
+		results[qi], stats[qi] = sn.queryPlan(queries.Row(qi), &rp, minCount, s)
+	})
 	return results, stats
+}
+
+// batchWorkers clamps a requested worker count to [1, GOMAXPROCS], with
+// workers <= 0 meaning GOMAXPROCS.
+func batchWorkers(workers int) int {
+	if p := runtime.GOMAXPROCS(0); workers <= 0 || workers > p {
+		return p
+	}
+	return workers
+}
+
+// parallelFor runs body(i, s) for i in [0,n) on up to workers goroutines,
+// handing each goroutine its own pooled scratch for the duration.
+func (ix *Index) parallelFor(n, workers int, body func(i int, s *scratch)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		s := ix.getScratch()
+		defer ix.putScratch(s)
+		for i := 0; i < n; i++ {
+			body(i, s)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			s := ix.getScratch()
+			defer ix.putScratch(s)
+			for i := range next {
+				body(i, s)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 }
 
 func medianInt(xs []int) int {

@@ -110,18 +110,21 @@ func BenchmarkCandidateList(b *testing.B) {
 // benchGather and benchRank adapt the unexported hot-path internals for
 // the stage benchmarks above.
 func benchGather(ix *Index, q []float32, s *scratch) int {
-	st := ix.gather(q, 20, s)
-	return st.Candidates
+	sn := ix.loadSnap()
+	rp := sn.defaultResolved(10)
+	return sn.gatherPlan(q, &rp, sn.opts.ProbeMode, 20, s).Candidates
 }
 
 func benchRank(ix *Index, q []float32, k int, s *scratch) int {
-	ix.gather(q, 2*k, s)
-	res := ix.rank(q, k, s)
-	return len(res.IDs)
+	sn := ix.loadSnap()
+	rp := sn.defaultResolved(k)
+	sn.gatherPlan(q, &rp, sn.opts.ProbeMode, rp.hierFloor(), s)
+	return len(sn.rankWith(q, k, 0, s).IDs)
 }
 
-// BenchmarkQueryBatchParallel measures batch throughput (hierarchy mode
-// exercises the median rule plus per-worker scratch reuse).
+// BenchmarkQueryBatchParallel measures batch throughput with four workers
+// (hierarchy mode exercises the median rule plus per-worker scratch
+// reuse).
 func BenchmarkQueryBatchParallel(b *testing.B) {
 	for _, mode := range []ProbeMode{ProbeSingle, ProbeHierarchy} {
 		b.Run(fmt.Sprintf("%s", mode), func(b *testing.B) {
@@ -129,7 +132,7 @@ func BenchmarkQueryBatchParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.QueryBatchParallel(qs, 10, 4)
+				ix.QueryBatch(qs, Plan{K: 10}, 4)
 			}
 		})
 	}

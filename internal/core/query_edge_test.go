@@ -28,13 +28,44 @@ func TestQueryDegenerateK(t *testing.T) {
 			if r := ix.ExactKNN(data.Row(0), k); len(r.IDs) != 0 {
 				t.Errorf("mode %v: ExactKNN(k=%d) returned %d results", mode, k, len(r.IDs))
 			}
-			batch, stats := ix.QueryBatch(data, k)
-			if len(batch) != data.N || len(stats) != data.N {
-				t.Fatalf("mode %v: QueryBatch(k=%d) shape %d/%d, want %d", mode, k, len(batch), len(stats), data.N)
+			for _, workers := range []int{1, 4} {
+				batch, stats := ix.QueryBatch(data, Plan{K: k}, workers)
+				if len(batch) != data.N || len(stats) != data.N {
+					t.Fatalf("mode %v: QueryBatch(k=%d, workers=%d) shape %d/%d, want %d", mode, k, workers, len(batch), len(stats), data.N)
+				}
+				for qi, r := range batch {
+					if len(r.IDs) != 0 {
+						t.Fatalf("mode %v: QueryBatch(k=%d, workers=%d) query %d returned %d results", mode, k, workers, qi, len(r.IDs))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQueryBatchDimensionMismatch: a batch whose dimension differs from
+// the index gets N empty results, like Query on the same rows — never a
+// projection panic, serial or fanned out, for every probe mode.
+func TestQueryBatchDimensionMismatch(t *testing.T) {
+	data := testData(t, 200, 8, 4)
+	wide := testData(t, 6, 16, 5)
+	for _, mode := range []ProbeMode{ProbeSingle, ProbeMulti, ProbeHierarchy} {
+		ix, err := Build(data, Options{ProbeMode: mode, Probes: 8,
+			Params: lshfunc.Params{M: 4, L: 2, W: 2}}, xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, _ := ix.Query(wide.Row(0), 5); len(res.IDs) != 0 {
+			t.Fatalf("mode %v: Query on a 16-d vector returned %d results", mode, len(res.IDs))
+		}
+		for _, workers := range []int{1, 4} {
+			batch, stats := ix.QueryBatch(wide, Plan{K: 5}, workers)
+			if len(batch) != wide.N || len(stats) != wide.N {
+				t.Fatalf("mode %v workers=%d: shape %d/%d, want %d", mode, workers, len(batch), len(stats), wide.N)
 			}
 			for qi, r := range batch {
 				if len(r.IDs) != 0 {
-					t.Fatalf("mode %v: QueryBatch(k=%d) query %d returned %d results", mode, k, qi, len(r.IDs))
+					t.Fatalf("mode %v workers=%d: query %d returned %d results", mode, workers, qi, len(r.IDs))
 				}
 			}
 		}

@@ -12,8 +12,8 @@ import (
 // allocator's pace). One scratch serves one query at a time:
 //
 //   - Query draws one from the index's sync.Pool and returns it;
-//   - QueryBatch reuses a single scratch across the whole batch;
-//   - QueryBatchParallel gives each worker goroutine its own.
+//   - QueryBatch gives each worker goroutine one for its whole share of
+//     the batch (workers == 1 is serial: one scratch for every query).
 //
 // Candidate dedup uses an epoch-stamped visited array instead of a map:
 // visited[id] == epoch means id was already collected this query, and

@@ -114,7 +114,7 @@ func RunSweep(w *Workload, method Method, l int) (Series, error) {
 // short-list search actually ranks. (QueryStats also exposes the scanned
 // multiset size for cost modeling; see the Figure 4 harness.)
 func measureRun(w *Workload, ix *core.Index) knn.RunMeasure {
-	results, stats := ix.QueryBatch(w.Queries, w.Cfg.K)
+	results, stats := ix.QueryBatch(w.Queries, core.Plan{K: w.Cfg.K}, 1)
 	ms := make([]knn.QueryMeasure, w.Queries.N)
 	for qi := range ms {
 		ms[qi] = knn.Measure(w.Truth[qi], results[qi], stats[qi].Candidates, w.Train.N)

@@ -298,23 +298,11 @@ func (w Widths) width(biLevel bool, probe core.ProbeMode) float64 {
 
 // measureCell answers the query set and aggregates the quality metrics
 // against the stage's ground truth. n is the live item count (the
-// selectivity denominator |S| of Eq. 5). With cfg.TargetRecall set the
-// queries run through the adaptive plan path (QueryBatchPlan) instead of
-// the legacy fixed-budget one; the same thresholds apply either way.
+// selectivity denominator |S| of Eq. 5). cfg.TargetRecall, when set, is
+// the batch plan's recall SLO; the same thresholds apply either way.
 func measureCell(cell Cell, ix *core.Index, qs *vec.Matrix, truth []knn.Result, cfg Config, n int) CellResult {
 	k := cfg.K
-	var results []knn.Result
-	var stats []core.QueryStats
-	if cfg.TargetRecall > 0 {
-		res, ps := ix.QueryBatchPlan(qs, core.Plan{K: k, TargetRecall: cfg.TargetRecall})
-		results = res
-		stats = make([]core.QueryStats, len(ps))
-		for i := range ps {
-			stats[i] = ps[i].QueryStats
-		}
-	} else {
-		results, stats = ix.QueryBatch(qs, k)
-	}
+	results, stats := ix.QueryBatch(qs, core.Plan{K: k, TargetRecall: cfg.TargetRecall}, 1)
 	ms := make([]knn.QueryMeasure, qs.N)
 	var cands float64
 	for qi := range ms {

@@ -30,7 +30,7 @@ func metamorphicWorkload(t *testing.T) (*vec.Matrix, *vec.Matrix) {
 
 // recallOf answers qs and returns mean recall@k against truth.
 func recallOf(ix *core.Index, qs *vec.Matrix, truth []knn.Result, k int) float64 {
-	results, _ := ix.QueryBatch(qs, k)
+	results, _ := ix.QueryBatch(qs, core.Plan{K: k}, 1)
 	var sum float64
 	for qi := range results {
 		sum += knn.Recall(truth[qi].IDs, results[qi].IDs)
@@ -180,7 +180,7 @@ func TestRecallMonotoneInProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, stats := ix.QueryBatch(qs, k)
+		results, stats := ix.QueryBatch(qs, core.Plan{K: k}, 1)
 		for qi := range results {
 			r := knn.Recall(truth[qi].IDs, results[qi].IDs)
 			if bi > 0 {
@@ -222,7 +222,7 @@ func TestRecallMonotoneInTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, stats := ix.QueryBatch(qs, k)
+		results, stats := ix.QueryBatch(qs, core.Plan{K: k}, 1)
 		for qi := range results {
 			r := knn.Recall(truth[qi].IDs, results[qi].IDs)
 			if li > 0 {

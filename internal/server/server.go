@@ -310,7 +310,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	queries := vec.FromRows(req.Vectors)
-	results, stats := s.ix.QueryBatchParallelPlan(queries, s.planFor(req.QueryPlan, k), req.Workers)
+	results, stats := s.ix.QueryBatch(queries, s.planFor(req.QueryPlan, k), req.Workers)
 	wantStats := httpx.WantStats(r.URL.Query())
 	resp := batchResponse{Results: make([]queryResponse, len(results))}
 	for i := range results {

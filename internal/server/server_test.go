@@ -145,6 +145,40 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchWorkersClamped: a client-supplied worker count far beyond the
+// CPU count is clamped inside the batch executor, and the response is
+// byte-identical to the serial one.
+func TestBatchWorkersClamped(t *testing.T) {
+	srv, data := testServer(t, false)
+	post := func(workers int) []byte {
+		t.Helper()
+		raw, err := json.Marshal(batchRequest{Vectors: [][]float32{
+			data.Row(1), data.Row(2), data.Row(3), data.Row(5),
+			data.Row(8), data.Row(13), data.Row(21), data.Row(34),
+		}, K: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/batch?stats=1", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("workers=%d: status %d: %s", workers, resp.StatusCode, body.Bytes())
+		}
+		return body.Bytes()
+	}
+	serial := post(1)
+	if huge := post(1 << 20); !bytes.Equal(huge, serial) {
+		t.Fatalf("workers=1<<20 body differs from workers=1:\n got %s\nwant %s", huge, serial)
+	}
+}
+
 func TestMutationsRequireMutable(t *testing.T) {
 	srv, data := testServer(t, false)
 	body := map[string]interface{}{"vector": data.Row(0)}
